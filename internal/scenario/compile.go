@@ -149,20 +149,28 @@ func (c *Compiled) virtualHour(t units.Duration) float64 {
 }
 
 func (c *Compiled) baseShape(t units.Duration) float64 {
-	for _, ph := range c.rate {
-		if t < ph.start || t >= ph.end {
-			continue
-		}
-		if !ph.diurnal {
-			return ph.level
-		}
-		// Sinusoid on the virtual clock: 1.0 at peakHour, minFrac at the
-		// antipode, period one day.
-		tau := c.virtualHour(t)
-		cos := math.Cos(2 * math.Pi * (tau - ph.peakHour) / c.Profile.DayHours)
-		return ph.minFrac + (1-ph.minFrac)*(1+cos)/2
+	ph := c.ratePhase(t)
+	switch {
+	case ph == nil:
+		return 0 // gap in the schedule: no offered load
+	case !ph.diurnal:
+		return ph.level
 	}
-	return 0 // gap in the schedule: no offered load
+	// Sinusoid on the virtual clock: 1.0 at peakHour, minFrac at the
+	// antipode, period one day.
+	tau := c.virtualHour(t)
+	cos := math.Cos(2 * math.Pi * (tau - ph.peakHour) / c.Profile.DayHours)
+	return ph.minFrac + (1-ph.minFrac)*(1+cos)/2
+}
+
+// ratePhase returns the rate phase covering t (nil in a gap).
+func (c *Compiled) ratePhase(t units.Duration) *ratePhase {
+	for i := range c.rate {
+		if t >= c.rate[i].start && t < c.rate[i].end {
+			return &c.rate[i]
+		}
+	}
+	return nil
 }
 
 // flashMult returns the active flash multiplier at t (1 outside crowds).

@@ -227,3 +227,56 @@ func TestBurstArrivalsValidation(t *testing.T) {
 		t.Error("accepted burst beyond horizon")
 	}
 }
+
+// searchCDF is the inverse-CDF binary search the guide table replaced:
+// the first index with cdf[i] ≥ u, capped at the last clip.
+func searchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesSearch: the guide-table pick returns the binary
+// search's index for every edge draw — 0, each cdf value exactly and
+// its float neighbours, and the largest draw below 1 — including one-
+// and two-clip catalogs and a steep skew whose tail plateaus at 1.0,
+// where the first index reaching u must still win.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	cases := []struct {
+		n int
+		s float64
+	}{{1, 1}, {2, 0.5}, {2, 8}, {7, 1.1}, {100, 1}, {1000, 1.1}, {1000, 8}, {4096, 0.3}}
+	for _, tc := range cases {
+		z, err := NewZipfSelector(tc.n, tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		draws := []float64{0, math.Nextafter(1, 0)}
+		for _, c := range z.cdf {
+			for _, u := range []float64{math.Nextafter(c, 0), c, math.Nextafter(c, 1)} {
+				if u >= 0 && u < 1 {
+					draws = append(draws, u)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		for i := 0; i < 10000; i++ {
+			draws = append(draws, rng.Float64())
+		}
+		for _, u := range draws {
+			if got, want := z.pick(u), searchCDF(z.cdf, u); got != want {
+				t.Fatalf("n=%d s=%g u=%v: guide picks %d, search %d", tc.n, tc.s, u, got, want)
+			}
+		}
+		if tc.s == 8 && tc.n == 1000 && z.cdf[tc.n-2] != 1 {
+			t.Fatalf("s=8 tail does not plateau at 1.0 (cdf[n-2] = %v); the case tests nothing", z.cdf[tc.n-2])
+		}
+	}
+}
