@@ -47,16 +47,17 @@
 // Observability: -pprof serves net/http/pprof on a side address, and
 // -cpuprofile/-memprofile write whole-run profiles, matching cmsim.
 // The cluster STATS line carries the reconfiguration view (view=,
-// draining=, retired=, migrate_progress=) and ends with tick_hist, a
-// histogram of recent cluster-round Tick latencies (bucket upper bounds
-// in µs), plus migrate_hist — the same latency restricted to rounds
-// that actually carried migration traffic, so the cost of background
-// re-replication on the tick is directly visible.
+// draining=, retired=, migrate_progress=) and ends with slipped, the
+// rounds the deadline pacer dropped after falling more than
+// cliutil.CatchUp rounds behind, then tick_hist, a histogram of recent
+// cluster-round Tick latencies (bucket upper bounds in µs), plus
+// migrate_hist — the same latency restricted to rounds that actually
+// carried migration traffic, so the cost of background re-replication
+// on the tick is directly visible.
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -112,12 +113,18 @@ type server struct {
 	// flag) toggle whether it observes and acts.
 	pilot *cluster.Pilot
 
+	// rounds is the round clock: its pacer drives tick, and PLAY and
+	// admission waits block on it under mu until a round has run.
+	rounds *cliutil.RoundClock
+
 	writeTimeout time.Duration
 	closing      chan struct{}
 	conns        sync.WaitGroup
 }
 
-func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Duration, autopilotOn bool) *server {
+// newServer builds the front end with a round clock of the given
+// interval; the caller starts it with s.rounds.Start(s.tick).
+func newServer(cl *cluster.Cluster, nodeCfg core.Config, interval, writeTimeout time.Duration, autopilotOn bool) *server {
 	s := &server{
 		cl:           cl,
 		nodeCfg:      nodeCfg,
@@ -125,6 +132,7 @@ func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Durat
 		writeTimeout: writeTimeout,
 		closing:      make(chan struct{}),
 	}
+	s.rounds = cliutil.NewRoundClock(interval, &s.mu)
 	s.pilot.SetEnabled(autopilotOn)
 	for i := 0; i < cl.NodeCount(); i++ {
 		s.inj = append(s.inj, cl.NodeServer(i).InjectFaults(faultinject.Plan{Seed: int64(i) + 1}))
@@ -133,9 +141,10 @@ func newServer(cl *cluster.Cluster, nodeCfg core.Config, writeTimeout time.Durat
 }
 
 // tick advances one cluster round under the mutex: the service tick,
-// latency accounting, and one autopilot step. Both the real pacer and
-// the test pacer drive rounds through here so the controller always
-// observes completed rounds.
+// latency accounting, and one autopilot step, then wakes every handler
+// waiting on the round. The round clock and hand-stepped tests drive
+// rounds through here so the controller always observes completed
+// rounds.
 func (s *server) tick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -162,6 +171,7 @@ func (s *server) tick() {
 	if err != nil {
 		log.Printf("cmcluster: autopilot: %v", err)
 	}
+	s.rounds.Broadcast()
 }
 
 func main() {
@@ -254,21 +264,12 @@ func main() {
 			log.Fatalf("cmcluster: %v", err)
 		}
 	}
-	s := newServer(cl, nodeCfg, *wtimeout, *autopilotOn)
-
-	// Round pacer: every node's round duration is identical (same config),
-	// so one clock drives the whole cluster.
-	go func() {
-		interval := time.Duration(float64(cl.NodeServer(0).RoundDuration().Seconds()) / *speed * float64(time.Second))
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		pacer := time.NewTicker(interval)
-		defer pacer.Stop()
-		for range pacer.C {
-			s.tick()
-		}
-	}()
+	// Every node's round duration is identical (same config), so one
+	// clock drives the whole cluster. It keeps running through the drain
+	// so in-flight streams finish delivery.
+	interval := cliutil.PacedInterval(cl.NodeServer(0).RoundDuration(), *speed)
+	s := newServer(cl, nodeCfg, interval, *wtimeout, *autopilotOn)
+	s.rounds.Start(s.tick)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -424,12 +425,12 @@ func (s *server) handle(conn net.Conn) {
 			apMode = aps.Mode
 		}
 		s.mu.Unlock()
-		if s.printf(conn, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q tick_hist=%s migrate_hist=%s\n",
+		if s.printf(conn, "round=%d nodes=%d alive=%d failed=%v active=%d awaiting_failover=%d served=%d failed_over=%d terminated=%d rejected=%d view=%d draining=%v retired=%v migrate_progress=%d/%d migrated_blocks=%d migrated_streams=%d autopilot=%s autopilot_actions=%d autopilot_cooldown=%d autopilot_last=%q autopilot_interlock=%q slipped=%d tick_hist=%s migrate_hist=%s\n",
 			st.Round, st.Nodes, st.Alive, st.FailedNodes, st.Active, st.AwaitingFailover,
 			st.Served, st.FailedOver, st.Terminated, st.Rejected,
 			st.ViewVersion, st.Draining, st.Retired, st.MigrateDone, st.MigrateTotal,
 			st.MigratedBlocks, st.MigratedStreams,
-			apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, ticks, migs) != nil {
+			apMode, aps.Actions, aps.Cooldown, aps.Last, aps.Interlock, s.rounds.Slipped(), ticks, migs) != nil {
 			return
 		}
 		for i, ns := range st.Node {
@@ -595,48 +596,17 @@ func (s *server) handle(conn net.Conn) {
 			s.printf(conn, "ERR overloaded: autopilot is shedding new sessions\n")
 			return
 		}
-		// Cluster-wide admission rejects behave like the paper's pending
-		// list: retry each round for a while before giving up.
-		var st *cluster.Stream
-		var err error
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			s.mu.Lock()
-			st, err = s.cl.OpenStream(fields[1])
-			s.mu.Unlock()
-			if err == nil || !errors.Is(err, core.ErrAdmission) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		// Cluster-wide admission rejects wait on the paper's pending
+		// list: the request retries at the end of each round.
+		st, err := cliutil.Admit(s.rounds, func() (*cluster.Stream, error) {
+			return s.cl.OpenStream(fields[1])
+		})
 		if err != nil {
 			s.printf(conn, "ERR %v\n", err)
 			return
 		}
-		buf := make([]byte, 64<<10)
-		for {
-			s.mu.Lock()
-			n, rerr := st.Read(buf)
-			s.mu.Unlock()
-			if n > 0 {
-				if s.write(conn, buf[:n]) != nil {
-					s.mu.Lock()
-					st.Close()
-					s.mu.Unlock()
-					return
-				}
-			}
-			if errors.Is(rerr, core.ErrNoData) {
-				// Also covers the parked-awaiting-failover window.
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if errors.Is(rerr, core.ErrStreamLost) {
-				s.printf(conn, "\nERR %v\n", rerr)
-				return
-			}
-			if rerr != nil {
-				return // EOF or closed
-			}
+		if err := s.rounds.Play(st, func(b []byte) error { return s.write(conn, b) }); err != nil {
+			s.printf(conn, "\nERR %v\n", err)
 		}
 	default:
 		s.printf(conn, "ERR unknown command\n")

@@ -28,13 +28,14 @@
 //
 // Observability: -pprof serves net/http/pprof on a side address, and
 // -cpuprofile/-memprofile write whole-run profiles, matching cmsim.
-// STATS ends with tick_hist, a histogram of recent per-round Tick
-// latencies (bucket upper bounds in µs).
+// STATS ends with slipped, the rounds the deadline pacer dropped after
+// falling more than cliutil.CatchUp rounds behind, and tick_hist, a
+// histogram of recent per-round Tick latencies (bucket upper bounds in
+// µs).
 package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -69,6 +70,10 @@ type server struct {
 	// like the Tick it times); STATS reports it as tick_hist.
 	tickHist cliutil.LatencyHist
 
+	// rounds is the round clock: its pacer drives tick, and PLAY and
+	// admission waits block on it under mu until a round has run.
+	rounds *cliutil.RoundClock
+
 	// writeTimeout bounds every client write.
 	writeTimeout time.Duration
 	// closing is closed when shutdown begins: accept stops and new PLAY
@@ -78,14 +83,31 @@ type server struct {
 	conns sync.WaitGroup
 }
 
-func newServer(cs *core.Server, writeTimeout time.Duration) *server {
-	return &server{
+// newServer builds the server with a round clock of the given
+// interval; the caller starts it with s.rounds.Start(s.tick).
+func newServer(cs *core.Server, interval, writeTimeout time.Duration) *server {
+	s := &server{
 		srv:          cs,
 		injector:     cs.InjectFaults(faultinject.Plan{Seed: 1}),
 		d:            cs.Disks(),
 		writeTimeout: writeTimeout,
 		closing:      make(chan struct{}),
 	}
+	s.rounds = cliutil.NewRoundClock(interval, &s.mu)
+	return s
+}
+
+// tick advances one round under the mutex, records its latency, and
+// wakes every handler waiting on the round.
+func (s *server) tick() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := time.Now()
+	if err := s.srv.Tick(); err != nil {
+		log.Printf("cmserve: tick: %v", err)
+	}
+	s.tickHist.Observe(time.Since(start))
+	s.rounds.Broadcast()
 }
 
 func main() {
@@ -168,27 +190,10 @@ func main() {
 			log.Fatalf("cmserve: %v", err)
 		}
 	}
-	s := newServer(cs, *wtimeout)
-
-	// Round pacer: one Tick per (scaled) round duration. It keeps running
+	// One Tick per (scaled) round duration. The clock keeps running
 	// through the drain so in-flight streams finish delivery.
-	go func() {
-		interval := time.Duration(float64(cs.RoundDuration().Seconds()) / *speed * float64(time.Second))
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		pacer := time.NewTicker(interval)
-		defer pacer.Stop()
-		for range pacer.C {
-			s.mu.Lock()
-			start := time.Now()
-			if err := s.srv.Tick(); err != nil {
-				log.Printf("cmserve: tick: %v", err)
-			}
-			s.tickHist.Observe(time.Since(start))
-			s.mu.Unlock()
-		}
-	}()
+	s := newServer(cs, cliutil.PacedInterval(cs.RoundDuration(), *speed), *wtimeout)
+	s.rounds.Start(s.tick)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -315,12 +320,12 @@ func (s *server) handle(conn net.Conn) {
 		st := s.srv.Stats()
 		ticks := s.tickHist.String()
 		s.mu.Unlock()
-		s.printf(conn, "rounds=%d active=%d served=%d hiccups=%d overflows=%d failed=%v mode=%s spares=%d rebuilding=%d rebuild_pending=%d rebuild_total=%d rebuilds_done=%d terminated=%d scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s tick_hist=%s\n",
+		s.printf(conn, "rounds=%d active=%d served=%d hiccups=%d overflows=%d failed=%v mode=%s spares=%d rebuilding=%d rebuild_pending=%d rebuild_total=%d rebuilds_done=%d terminated=%d scrub_scanned=%d scrub_total=%d scrub_cycles=%d corruptions=%d corruption_repairs=%d detect_hist=%s rebuild_hist=%s slipped=%d tick_hist=%s\n",
 			st.Rounds, st.Active, st.Served, st.Hiccups, st.Overflows, st.FailedDisks,
 			st.Mode, st.SparesLeft, st.Rebuilding, st.RebuildPending, st.RebuildTotal,
 			st.RebuildsDone, st.Terminated, st.ScrubScanned, st.ScrubTotal, st.ScrubCycles,
 			st.CorruptionsDetected, st.CorruptionRepairs,
-			cliutil.Histogram(st.DetectLatencies), cliutil.Histogram(st.RebuildLatencies), ticks)
+			cliutil.Histogram(st.DetectLatencies), cliutil.Histogram(st.RebuildLatencies), s.rounds.Slipped(), ticks)
 	case "FAIL":
 		// Demo alias for the fault injector: schedule a fail-stop on the
 		// disk starting next round. The health detector notices from the
@@ -377,49 +382,19 @@ func (s *server) handle(conn net.Conn) {
 			s.printf(conn, "ERR shutting down\n")
 			return
 		}
-		// Admission may be refused while the caps are full; behave like
-		// the paper's pending list and retry each round for a while.
-		var st *core.Stream
-		var err error
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			s.mu.Lock()
-			st, err = s.srv.OpenStream(fields[1])
-			s.mu.Unlock()
-			if err == nil || !errors.Is(err, core.ErrAdmission) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		// Admission may be refused while the caps are full; the request
+		// then waits on the paper's pending list, retrying each round.
+		st, err := cliutil.Admit(s.rounds, func() (*core.Stream, error) {
+			return s.srv.OpenStream(fields[1])
+		})
 		if err != nil {
 			s.printf(conn, "ERR %v\n", err)
 			return
 		}
-		buf := make([]byte, 64<<10)
-		for {
-			s.mu.Lock()
-			n, rerr := st.Read(buf)
-			s.mu.Unlock()
-			if n > 0 {
-				if s.write(conn, buf[:n]) != nil {
-					s.mu.Lock()
-					st.Close()
-					s.mu.Unlock()
-					return
-				}
-			}
-			if rerr == core.ErrNoData {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if errors.Is(rerr, core.ErrStreamLost) {
-				// Second failure stranded the stream: tell the client why
-				// instead of silently closing.
-				s.printf(conn, "\nERR %v\n", rerr)
-				return
-			}
-			if rerr != nil {
-				return // EOF or closed
-			}
+		if err := s.rounds.Play(st, func(b []byte) error { return s.write(conn, b) }); err != nil {
+			// Second failure stranded the stream: tell the client why
+			// instead of silently closing.
+			s.printf(conn, "\nERR %v\n", err)
 		}
 	default:
 		s.printf(conn, "ERR unknown command\n")

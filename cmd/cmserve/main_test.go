@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +29,26 @@ func testServer(t *testing.T) (addr string, clips map[string][]byte, s *server, 
 // testServerSpares is testServer with a hot-spare budget.
 func testServerSpares(t *testing.T, spares int) (addr string, clips map[string][]byte, s *server, ln net.Listener) {
 	t.Helper()
+	s, clips = newTestServer(t, spares)
+	s.rounds.Start(s.tick)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.acceptLoop(ln)
+	t.Cleanup(func() {
+		s.beginShutdown(ln)
+		s.rounds.Stop()
+	})
+	return ln.Addr().String(), clips, s, ln
+}
+
+// newTestServer builds the demo server with a fast disk model and
+// stored clips, its round clock not started, so a test can start it or
+// step s.tick by hand. Cleanup stops the clock, which wakes any handler
+// still waiting on a round.
+func newTestServer(t testing.TB, spares int) (*server, map[string][]byte) {
+	t.Helper()
 	cs, err := core.New(core.Config{
 		Scheme: core.Declustered,
 		Disk: diskmodel.Parameters{
@@ -45,7 +67,7 @@ func testServerSpares(t *testing.T, spares int) (addr string, clips map[string][
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	clips = map[string][]byte{}
+	clips := map[string][]byte{}
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("clip-%d", i)
 		data := make([]byte, 50_000)
@@ -55,36 +77,9 @@ func testServerSpares(t *testing.T, spares int) (addr string, clips map[string][
 			t.Fatal(err)
 		}
 	}
-	s = newServer(cs, 10*time.Second)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				s.mu.Lock()
-				_ = s.srv.Tick()
-				s.mu.Unlock()
-			}
-		}
-	}()
-	ln, err = net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.acceptLoop(ln)
-	t.Cleanup(func() {
-		s.beginShutdown(ln)
-		close(stop)
-		wg.Wait()
-	})
-	return ln.Addr().String(), clips, s, ln
+	s := newServer(cs, time.Millisecond, 10*time.Second)
+	t.Cleanup(s.rounds.Stop)
+	return s, clips
 }
 
 func send(t *testing.T, addr, cmd string) []byte {
@@ -128,7 +123,7 @@ func TestHandleStats(t *testing.T) {
 	for _, field := range []string{
 		"spares=0", "rebuilding=-1", "rebuild_pending=0", "rebuild_total=0", "rebuilds_done=0",
 		"scrub_scanned=", "scrub_total=", "scrub_cycles=", "corruptions=0", "corruption_repairs=0",
-		"detect_hist=[]", "rebuild_hist=[]",
+		"detect_hist=[]", "rebuild_hist=[]", "slipped=", "tick_hist=[",
 	} {
 		if !strings.Contains(out, field) {
 			t.Fatalf("STATS missing %q: %s", field, out)
@@ -352,5 +347,132 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if !s.drain(10 * time.Second) {
 		t.Fatal("drain did not complete")
+	}
+}
+
+// pipeCommand serves one command line to s.handle over a net.Pipe and
+// returns the client end plus a channel closed when the handler returns.
+func pipeCommand(t testing.TB, s *server, line string) (net.Conn, <-chan struct{}) {
+	t.Helper()
+	srv, cli := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handle(srv)
+	}()
+	t.Cleanup(func() { cli.Close() })
+	// The write may not complete: a handler reads only the first line.
+	go fmt.Fprintf(cli, "%s\n", line)
+	return cli, done
+}
+
+// eventually polls cond under the server mutex until it holds.
+func eventually(t *testing.T, s *server, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// fillAdmission opens streams of clip directly until admission refuses
+// one, and returns them.
+func fillAdmission(t *testing.T, s *server, clip string) []*core.Stream {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var held []*core.Stream
+	for {
+		st, err := s.srv.OpenStream(clip)
+		if errors.Is(err, core.ErrAdmission) {
+			return held
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held = append(held, st); len(held) > 10_000 {
+			t.Fatal("admission never refused a stream")
+		}
+	}
+}
+
+// TestPlayWakesOnRound: with the clock stepped by hand, a PLAY handler
+// parks on the round clock and gets its first bytes from the very next
+// tick.
+func TestPlayWakesOnRound(t *testing.T) {
+	s, clips := newTestServer(t, 0)
+	cli, _ := pipeCommand(t, s, "PLAY clip-0")
+	eventually(t, s, "the handler waits on the round", func() bool { return s.rounds.Waiters() == 1 })
+	s.tick()
+	cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, 64<<10)
+	n, err := cli.Read(buf)
+	if err != nil || n == 0 {
+		t.Fatalf("no bytes after one tick: n=%d err=%v", n, err)
+	}
+	if !bytes.Equal(buf[:n], clips["clip-0"][:n]) {
+		t.Fatalf("first %d bytes differ from the clip", n)
+	}
+}
+
+// TestRefusedPlayAdmittedOnNextRound: a PLAY refused at capacity waits
+// on the pending list; when a slot frees it is admitted at the end of
+// the very next round, not before.
+func TestRefusedPlayAdmittedOnNextRound(t *testing.T) {
+	s, _ := newTestServer(t, 0)
+	held := fillAdmission(t, s, "clip-0")
+	pipeCommand(t, s, "PLAY clip-0")
+	eventually(t, s, "the refused handler waits on the round", func() bool { return s.rounds.Waiters() == 1 })
+	s.mu.Lock()
+	held[0].Close()
+	active := s.srv.Stats().Active
+	s.mu.Unlock()
+	if active != len(held)-1 {
+		t.Fatalf("%d streams active after freeing a slot, want %d", active, len(held)-1)
+	}
+	s.tick()
+	eventually(t, s, "the waiting PLAY is admitted", func() bool { return s.srv.Stats().Active == len(held) })
+}
+
+// TestStoppedClockReleasesHandlers: handlers blocked on the round clock,
+// one waiting for data and one on the pending list, all return when the
+// clock stops, and no goroutine outlives them.
+func TestStoppedClockReleasesHandlers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, _ := newTestServer(t, 0)
+	held := fillAdmission(t, s, "clip-0")
+	s.mu.Lock()
+	held[0].Close()
+	s.mu.Unlock()
+	var dones []<-chan struct{}
+	for i := 0; i < 2; i++ {
+		cli, done := pipeCommand(t, s, "PLAY clip-0")
+		go io.Copy(io.Discard, cli)
+		dones = append(dones, done)
+		eventually(t, s, "the handler waits on the round", func() bool { return s.rounds.Waiters() == i+1 })
+	}
+	s.rounds.Stop()
+	for _, done := range dones {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a handler stayed blocked after the clock stopped")
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines remain, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
